@@ -253,6 +253,8 @@ func fabricBench(out, workload string, n, runs, shardSize int, strict bool) erro
 // rebuilt, and every kernel is requested once more through the new ring.
 // Kernels off the moved arc land on the worker that already compiled them
 // (warm hit); mod-hash placement would have reshuffled almost everything.
+// The ring places fixed worker identities, not the servers' ephemeral
+// ports, so the moved fraction and hit rates are the same on every run.
 func ringBench() (*RingBenchReport, error) {
 	const kernels = 48
 	workers := make([]*httptest.Server, 0, 4)
@@ -261,10 +263,13 @@ func ringBench() (*RingBenchReport, error) {
 			ts.Close()
 		}
 	}()
+	addr := map[string]string{} // ring identity → server URL
 	addWorker := func() string {
 		ts := httptest.NewServer(server.New(server.Config{DefaultTimeout: 30 * time.Second}).Handler())
 		workers = append(workers, ts)
-		return ts.URL
+		id := fmt.Sprintf("http://worker-%d:8711", len(workers))
+		addr[id] = ts.URL
+		return id
 	}
 	urls := []string{addWorker(), addWorker(), addWorker()}
 
@@ -273,19 +278,19 @@ func ringBench() (*RingBenchReport, error) {
 		srcs[i] = fmt.Sprintf("func main(): i64 { var r: i64 = %d; print(r); return r; }", i*7+1)
 	}
 
-	post := func(workerURL, src string) (cached bool, err error) {
+	post := func(worker, src string) (cached bool, err error) {
 		body, err := json.Marshal(server.RunRequest{Source: src})
 		if err != nil {
 			return false, err
 		}
-		resp, err := http.Post(workerURL+"/run", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(addr[worker]+"/run", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return false, err
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			b, _ := io.ReadAll(resp.Body)
-			return false, fmt.Errorf("ring bench: /run on %s: %d: %s", workerURL, resp.StatusCode, b)
+			return false, fmt.Errorf("ring bench: /run on %s: %d: %s", worker, resp.StatusCode, b)
 		}
 		var rr server.RunResponse
 		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
@@ -342,4 +347,3 @@ func ringBench() (*RingBenchReport, error) {
 	rep.ModHashMovedFraction = float64(modMoved) / kernels
 	return rep, nil
 }
-

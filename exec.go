@@ -228,9 +228,10 @@ func buildExecConfig(opts []Option) (*execConfig, error) {
 // Exec runs the program's named function. With no options it is shadow
 // execution under shadow.DefaultConfig(); options select the baseline or
 // Herbgrind runtimes, pass arguments, bound the run, decorate hooks, and
-// attach event tracing and metrics. Exec subsumes the deprecated Debug*
-// entry points: shadow runs always honor execution limits and, when
-// shadow.Config.MaxShadowBytes is set, retry at degraded precision
+// attach event tracing and metrics. A shadow Exec is a one-shot session:
+// it resolves the options as Program.Session does and runs once through
+// the same path as Debugger.Exec, so it honors execution limits and, when
+// shadow.Config.MaxShadowBytes is set, retries at degraded precision
 // (halving down to shadow.MinPrecision) instead of failing, flagging the
 // result Degraded.
 func (p *Program) Exec(fn string, opts ...Option) (*Result, error) {
@@ -240,19 +241,18 @@ func (p *Program) Exec(fn string, opts ...Option) (*Result, error) {
 	}
 	switch {
 	case ec.baseline:
-		return execBaseline(p.Module, ec, fn)
+		return execPlain(p.Module, nil, 0, ec, fn)
 	case ec.herb:
-		return execHerbgrind(p.Instrumented(), ec, fn)
-	}
-	mod := p.Instrumented()
-	if len(ec.skip) > 0 {
-		skipSet := make(map[string]bool, len(ec.skip))
-		for _, s := range ec.skip {
-			skipSet[s] = true
+		mod := p.Instrumented()
+		rt := herbgrind.New(mod, ec.herbPrec)
+		res, err := execPlain(mod, rt, ec.herbPrec, ec, fn)
+		if res != nil {
+			res.TraceNodes = rt.TraceNodes()
 		}
-		mod = instrument.Instrument(p.Module, instrument.Options{Skip: skipSet})
+		return res, err
 	}
-	return execShadowModule(mod, ec, fn)
+	mod, cfg := p.sessionSetup(ec)
+	return run(nil, mod, cfg, ec, fn)
 }
 
 // monoBase anchors the monotonic clock behind shadow-op latency timing.
@@ -261,15 +261,14 @@ var monoBase = time.Now()
 // monoNanos returns monotonic nanoseconds since a process-local base.
 func monoNanos() int64 { return int64(time.Since(monoBase)) }
 
-// samplingFor returns the sampling/timing decorator a run needs — non-nil
-// when the stride subsamples (n > 1) or the collector wants latency
-// timing — with its callbacks bound to the collector. The caller sets
-// Inner.
-func samplingFor(c *profile.Collector, n int64) *interp.Sampling {
+// samplingFor returns the sampling/timing decorator a run needs over inner
+// — non-nil when the stride subsamples (n > 1) or the collector wants
+// latency timing — with its callbacks bound to the collector.
+func samplingFor(inner interp.Hooks, c *profile.Collector, n int64) *interp.Sampling {
 	if n <= 1 && (c == nil || !c.Timing) {
 		return nil
 	}
-	s := interp.NewSampling(nil, n)
+	s := interp.NewSampling(inner, n)
 	if c != nil {
 		s.OnSkip = c.Skipped
 		if c.Timing {
@@ -278,21 +277,6 @@ func samplingFor(c *profile.Collector, n int64) *interp.Sampling {
 		}
 	}
 	return s
-}
-
-// shadowHooks builds one attempt's hooks chain: runtime innermost, then
-// the sampling/timing decorator, then the user wrapper (fault injectors)
-// outermost — so injected faults still reach the oracle on sampled runs.
-func shadowHooks(rt *shadow.Runtime, cfg shadow.Config, ec *execConfig) interp.Hooks {
-	var hooks interp.Hooks = rt
-	if s := samplingFor(cfg.Profile, ec.sample); s != nil {
-		s.Inner = hooks
-		hooks = s
-	}
-	if ec.wrap != nil {
-		hooks = ec.wrap(hooks)
-	}
-	return hooks
 }
 
 // emitRunStart/emitRunEnd bracket one execution in the event stream.
@@ -334,128 +318,42 @@ func flushRunMetrics(reg *obs.Registry, steps int64, prof *interp.OpProfile) {
 	}
 }
 
-func execBaseline(mod *ir.Module, ec *execConfig, fn string) (*Result, error) {
-	m := interp.New(mod)
-	m.Backend = ec.backend
-	var out bytes.Buffer
-	m.Out = &out
-	if ec.metrics != nil {
+// runMachine executes fn once on m under the run's context, limits and
+// arguments, inside the named span, and records the interpreter-side
+// metrics into reg (per-opcode timing only when reg is set).
+func runMachine(m *interp.Machine, reg *obs.Registry, span string, ec *execConfig, fn string) (uint64, error) {
+	switch {
+	case reg == nil:
+		m.Prof = nil
+	case m.Prof == nil:
 		m.Prof = &interp.OpProfile{}
+	default:
+		m.Prof.Reset()
 	}
-	emitRunStart(ec.trace, fn, 0)
-	sp := ec.spans.Start("exec")
+	sp := ec.spans.Start(span)
 	v, err := m.RunContext(ec.context(), fn, ec.limits, ec.args...)
 	sp.End()
-	flushRunMetrics(ec.metrics, m.Steps(), m.Prof)
+	flushRunMetrics(reg, m.Steps(), m.Prof)
+	return v, err
+}
+
+// execPlain runs fn without shadow execution: uninstrumented (hooks nil,
+// the baseline) or under the Herbgrind runtime, framed in the event stream
+// at the given precision.
+func execPlain(mod *ir.Module, hooks interp.Hooks, precision uint, ec *execConfig, fn string) (*Result, error) {
+	m := interp.New(mod)
+	m.Backend = ec.backend
+	m.Hooks = hooks
+	var out bytes.Buffer
+	m.Out = &out
+	emitRunStart(ec.trace, fn, precision)
+	v, err := runMachine(m, ec.metrics, "exec", ec, fn)
 	if err != nil {
-		emitRunEnd(ec.trace, "error", m.Steps(), 0)
+		emitRunEnd(ec.trace, "error", m.Steps(), precision)
 		return nil, err
 	}
-	emitRunEnd(ec.trace, "ok", m.Steps(), 0)
+	emitRunEnd(ec.trace, "ok", m.Steps(), precision)
 	return &Result{Value: v, Output: out.String(), Steps: m.Steps()}, nil
-}
-
-func execHerbgrind(mod *ir.Module, ec *execConfig, fn string) (*Result, error) {
-	rt := herbgrind.New(mod, ec.herbPrec)
-	m := interp.New(mod)
-	m.Backend = ec.backend
-	m.Hooks = rt
-	var out bytes.Buffer
-	m.Out = &out
-	if ec.metrics != nil {
-		m.Prof = &interp.OpProfile{}
-	}
-	emitRunStart(ec.trace, fn, ec.herbPrec)
-	sp := ec.spans.Start("exec")
-	v, err := m.RunContext(ec.context(), fn, ec.limits, ec.args...)
-	sp.End()
-	flushRunMetrics(ec.metrics, m.Steps(), m.Prof)
-	if err != nil {
-		emitRunEnd(ec.trace, "error", m.Steps(), ec.herbPrec)
-		return nil, err
-	}
-	emitRunEnd(ec.trace, "ok", m.Steps(), ec.herbPrec)
-	return &Result{
-		Value: v, Output: out.String(), Steps: m.Steps(),
-		TraceNodes: rt.TraceNodes(),
-	}, nil
-}
-
-// execShadowModule runs the degradation loop on fresh runtimes: when a run
-// exceeds the shadow-memory budget, retry at half the precision down to
-// shadow.MinPrecision, flagging the result Degraded.
-func execShadowModule(mod *ir.Module, ec *execConfig, fn string) (*Result, error) {
-	cfg := ec.shadowCfg
-	if ec.traceSet {
-		cfg.Events = ec.trace
-	}
-	if ec.metricsSet {
-		cfg.Metrics = ec.metrics
-	}
-	if ec.profSet {
-		cfg.Profile = ec.prof
-	}
-	emitRunStart(cfg.Events, fn, cfg.Precision)
-	return execShadowLoop(mod, cfg, ec, fn, cfg.Precision)
-}
-
-// execShadowLoop is the degradation loop proper; requested is the
-// precision Degraded is judged against (the warm-session retry path enters
-// below the originally requested precision).
-func execShadowLoop(mod *ir.Module, cfg shadow.Config, ec *execConfig, fn string, requested uint) (*Result, error) {
-	for {
-		rt, err := shadow.New(mod, cfg)
-		if err != nil {
-			return nil, err
-		}
-		m := interp.New(mod)
-		m.Backend = ec.backend
-		m.Hooks = shadowHooks(rt, cfg, ec)
-		var out bytes.Buffer
-		m.Out = &out
-		if cfg.Metrics != nil {
-			m.Prof = &interp.OpProfile{}
-		}
-		sp := ec.spans.Start("shadow-exec")
-		v, err := m.RunContext(ec.context(), fn, ec.limits, ec.args...)
-		sp.End()
-		flushRunMetrics(cfg.Metrics, m.Steps(), m.Prof)
-		if err != nil {
-			var re *interp.ResourceExhausted
-			// Only the bigfp oracle has a precision knob to degrade; a
-			// fixed-precision oracle tripping the budget surfaces the
-			// structured error (the server-side watchdog degrades across
-			// oracles instead).
-			if errors.As(err, &re) && re.Resource == interp.ResShadowMemory &&
-				cfg.OracleKind() == oracle.BigFP && cfg.Precision > shadow.MinPrecision {
-				cfg.Precision /= 2
-				if cfg.Precision < shadow.MinPrecision {
-					cfg.Precision = shadow.MinPrecision
-				}
-				if cfg.Events != nil {
-					e := obs.NewEvent(obs.EvDegrade)
-					e.Precision = cfg.Precision
-					cfg.Events.Emit(e)
-				}
-				continue
-			}
-			emitRunEnd(cfg.Events, "error", m.Steps(), cfg.Precision)
-			return nil, err
-		}
-		rp := ec.spans.Start("report")
-		summary := rt.Summary()
-		rp.End()
-		res := &Result{Value: v, Output: out.String(), Steps: m.Steps(), Summary: summary}
-		res.ShadowOracle = cfg.OracleKind()
-		res.ShadowPrecision = oracle.NominalPrecision(res.ShadowOracle, cfg.Precision)
-		res.Degraded = cfg.Precision != requested
-		outcome := "ok"
-		if res.Degraded {
-			outcome = "degraded"
-		}
-		emitRunEnd(cfg.Events, outcome, m.Steps(), cfg.Precision)
-		return res, nil
-	}
 }
 
 // Session builds a warm-reusable shadow-execution session configured by
@@ -481,7 +379,21 @@ func (p *Program) Session(opts ...Option) (*Debugger, error) {
 	if ec.wrap != nil || len(ec.args) > 0 || ec.limitsSet || ec.ctx != nil {
 		return nil, fmt.Errorf("positdebug: WithHooksWrapper/WithArgs/WithLimits/WithContext are per-run options; pass them to Debugger.Exec")
 	}
-	cfg := ec.shadowCfg
+	mod, cfg := p.sessionSetup(ec)
+	rt, sampler, err := newRuntime(mod, cfg, ec.sample)
+	if err != nil {
+		return nil, err
+	}
+	m := interp.New(mod)
+	m.Backend = ec.backend
+	d := &Debugger{cfg: cfg, mod: mod, rt: rt, m: m, sampleN: ec.sample, sampler: sampler}
+	m.Out = &d.out
+	return d, nil
+}
+
+// bindSinks points cfg at the event sink, metrics registry and profile
+// collector the options set, leaving the others as they are.
+func (ec *execConfig) bindSinks(cfg *shadow.Config) {
 	if ec.traceSet {
 		cfg.Events = ec.trace
 	}
@@ -491,6 +403,14 @@ func (p *Program) Session(opts ...Option) (*Debugger, error) {
 	if ec.profSet {
 		cfg.Profile = ec.prof
 	}
+}
+
+// sessionSetup resolves what a session fixes at instrumentation time: the
+// module instrumented with the skip set, and the shadow config with the
+// sinks bound.
+func (p *Program) sessionSetup(ec *execConfig) (*ir.Module, shadow.Config) {
+	cfg := ec.shadowCfg
+	ec.bindSinks(&cfg)
 	mod := p.Instrumented()
 	if len(ec.skip) > 0 {
 		skipSet := make(map[string]bool, len(ec.skip))
@@ -499,15 +419,18 @@ func (p *Program) Session(opts ...Option) (*Debugger, error) {
 		}
 		mod = instrument.Instrument(p.Module, instrument.Options{Skip: skipSet})
 	}
+	return mod, cfg
+}
+
+// newRuntime builds a shadow runtime over an instrumented module, with the
+// sampling/timing decorator the config and stride ask for (nil for full,
+// untimed shadow).
+func newRuntime(mod *ir.Module, cfg shadow.Config, sampleN int64) (*shadow.Runtime, *interp.Sampling, error) {
 	rt, err := shadow.New(mod, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	m := interp.New(mod)
-	m.Backend = ec.backend
-	d := &Debugger{prog: p, cfg: cfg, mod: mod, rt: rt, m: m, sampleN: ec.sample}
-	m.Out = &d.out
-	return d, nil
+	return rt, samplingFor(rt, cfg.Profile, sampleN), nil
 }
 
 // Exec runs the session's program on the warm runtime and machine.
@@ -518,9 +441,9 @@ func (p *Program) Session(opts ...Option) (*Debugger, error) {
 // session's instrumentation (WithShadow, WithSkip, WithBaseline,
 // WithHerbgrind) are rejected; build a new Session instead.
 //
-// Degraded retries run on transient runtimes at the reduced precision; the
-// session itself stays at the requested precision, so one budget-tripping
-// run does not degrade subsequent ones.
+// Degraded retries run on a transient runtime and machine at the reduced
+// precision; the session itself stays at the requested precision, so one
+// budget-tripping run does not degrade subsequent ones.
 func (d *Debugger) Exec(fn string, opts ...Option) (*Result, error) {
 	ec := &execConfig{}
 	for _, o := range opts {
@@ -532,17 +455,15 @@ func (d *Debugger) Exec(fn string, opts ...Option) (*Result, error) {
 	if ec.sampleSet && ec.sample < 0 {
 		return nil, fmt.Errorf("positdebug: negative sampling stride %d", ec.sample)
 	}
+	ec.bindSinks(&d.cfg)
 	if ec.traceSet {
 		d.rt.SetEvents(ec.trace)
-		d.cfg.Events = ec.trace
 	}
 	if ec.metricsSet {
 		d.rt.SetMetrics(ec.metrics)
-		d.cfg.Metrics = ec.metrics
 	}
 	if ec.profSet {
 		d.rt.SetProfile(ec.prof)
-		d.cfg.Profile = ec.prof
 		d.sampler = nil
 	}
 	if ec.sampleSet {
@@ -552,71 +473,102 @@ func (d *Debugger) Exec(fn string, opts ...Option) (*Result, error) {
 	if ec.backendSet {
 		d.m.Backend = ec.backend
 	}
-	if d.sampler == nil {
-		d.sampler = samplingFor(d.cfg.Profile, d.sampleN)
-		if d.sampler != nil {
-			d.sampler.Inner = d.rt
+	// A degraded retry builds its transient machine like this one.
+	ec.backend, ec.sample = d.m.Backend, d.sampleN
+	return run(d, d.mod, d.cfg, ec, fn)
+}
+
+// run executes fn under config cfg with the per-run options in ec, framed
+// in the event stream: on session d's warm runtime and machine, or, when d
+// is nil, on a one-shot runtime and machine built here from mod, cfg,
+// ec.backend and ec.sample. When a bigfp run exceeds the shadow-memory
+// budget it retries on a transient runtime and machine built the same way
+// at half the precision, down to shadow.MinPrecision, and flags the result
+// Degraded; d itself stays at the requested precision. A fixed-precision
+// oracle has no precision knob, so its budget trip surfaces as the
+// structured error (the server-side watchdog degrades across oracles
+// instead).
+func run(d *Debugger, mod *ir.Module, cfg shadow.Config, ec *execConfig, fn string) (*Result, error) {
+	requested := cfg.Precision
+	emitRunStart(cfg.Events, fn, requested)
+	for {
+		var (
+			rt      *shadow.Runtime
+			m       *interp.Machine
+			sampler *interp.Sampling
+			out     *bytes.Buffer
+		)
+		if d != nil {
+			if d.sampler == nil {
+				d.sampler = samplingFor(d.rt, cfg.Profile, d.sampleN)
+			}
+			rt, m, sampler, out = d.rt, d.m, d.sampler, &d.out
+		} else {
+			// The machine is built here rather than in a helper: for
+			// one-shot runs under perfbench's serve workload (2-core VM)
+			// that placement measured ~3 MiB lower p99 live heap.
+			var err error
+			if rt, sampler, err = newRuntime(mod, cfg, ec.sample); err != nil {
+				return nil, err
+			}
+			m = interp.New(mod)
+			m.Backend = ec.backend
+			out = new(bytes.Buffer)
+			m.Out = out
 		}
+		res, err := attempt(rt, m, sampler, out, cfg, ec, fn)
+		if err != nil {
+			var re *interp.ResourceExhausted
+			if errors.As(err, &re) && re.Resource == interp.ResShadowMemory &&
+				cfg.OracleKind() == oracle.BigFP && cfg.Precision > shadow.MinPrecision {
+				cfg.Precision /= 2
+				if cfg.Precision < shadow.MinPrecision {
+					cfg.Precision = shadow.MinPrecision
+				}
+				if cfg.Events != nil {
+					e := obs.NewEvent(obs.EvDegrade)
+					e.Precision = cfg.Precision
+					cfg.Events.Emit(e)
+				}
+				d = nil
+				continue
+			}
+			emitRunEnd(cfg.Events, "error", m.Steps(), cfg.Precision)
+			return nil, err
+		}
+		res.Degraded = cfg.Precision != requested
+		outcome := "ok"
+		if res.Degraded {
+			outcome = "degraded"
+		}
+		emitRunEnd(cfg.Events, outcome, m.Steps(), cfg.Precision)
+		return res, nil
 	}
-	var base interp.Hooks = d.rt
-	if d.sampler != nil {
-		base = d.sampler
+}
+
+// attempt is one execution on a runtime and machine: the hook chain is the
+// runtime innermost, then the sampling/timing decorator, then the per-run
+// wrapper (fault injectors) outermost — so injected faults still reach the
+// oracle on sampled runs.
+func attempt(rt *shadow.Runtime, m *interp.Machine, sampler *interp.Sampling, out *bytes.Buffer, cfg shadow.Config, ec *execConfig, fn string) (*Result, error) {
+	var hooks interp.Hooks = rt
+	if sampler != nil {
+		hooks = sampler
 	}
 	if ec.wrap != nil {
-		d.m.Hooks = ec.wrap(base)
-	} else {
-		d.m.Hooks = base
+		hooks = ec.wrap(hooks)
 	}
-	if d.cfg.Metrics != nil {
-		if d.m.Prof == nil {
-			d.m.Prof = &interp.OpProfile{}
-		} else {
-			d.m.Prof.Reset()
-		}
-	} else {
-		d.m.Prof = nil
-	}
-	d.out.Reset()
-	emitRunStart(d.cfg.Events, fn, d.cfg.Precision)
-	sp := ec.spans.Start("shadow-exec")
-	v, err := d.m.RunContext(ec.context(), fn, ec.limits, ec.args...)
-	sp.End()
-	flushRunMetrics(d.cfg.Metrics, d.m.Steps(), d.m.Prof)
+	m.Hooks = hooks
+	out.Reset()
+	v, err := runMachine(m, cfg.Metrics, "shadow-exec", ec, fn)
 	if err != nil {
-		var re *interp.ResourceExhausted
-		if errors.As(err, &re) && re.Resource == interp.ResShadowMemory &&
-			d.cfg.OracleKind() == oracle.BigFP && d.cfg.Precision > shadow.MinPrecision {
-			cfg := d.cfg
-			cfg.Precision /= 2
-			if cfg.Precision < shadow.MinPrecision {
-				cfg.Precision = shadow.MinPrecision
-			}
-			if cfg.Events != nil {
-				e := obs.NewEvent(obs.EvDegrade)
-				e.Precision = cfg.Precision
-				cfg.Events.Emit(e)
-			}
-			// Retry on transient runtimes at the reduced precision; the loop
-			// carries the session's sinks (with any per-run overrides already
-			// applied) and emits the closing run-end itself.
-			res, err := execShadowLoop(d.mod, cfg, &execConfig{
-				ctx: ec.ctx, limits: ec.limits, wrap: ec.wrap, args: ec.args,
-				sample: d.sampleN, spans: ec.spans, backend: d.m.Backend,
-			}, fn, d.cfg.Precision)
-			if res != nil {
-				res.Degraded = true
-			}
-			return res, err
-		}
-		emitRunEnd(d.cfg.Events, "error", d.m.Steps(), d.cfg.Precision)
 		return nil, err
 	}
 	rp := ec.spans.Start("report")
-	summary := d.rt.Summary()
+	summary := rt.Summary()
 	rp.End()
-	res := &Result{Value: v, Output: d.out.String(), Steps: d.m.Steps(), Summary: summary}
-	res.ShadowOracle = d.cfg.OracleKind()
-	res.ShadowPrecision = oracle.NominalPrecision(res.ShadowOracle, d.cfg.Precision)
-	emitRunEnd(d.cfg.Events, "ok", d.m.Steps(), d.cfg.Precision)
+	res := &Result{Value: v, Output: out.String(), Steps: m.Steps(), Summary: summary}
+	res.ShadowOracle = cfg.OracleKind()
+	res.ShadowPrecision = oracle.NominalPrecision(res.ShadowOracle, cfg.Precision)
 	return res, nil
 }

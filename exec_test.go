@@ -1,67 +1,15 @@
 package positdebug
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"positdebug/internal/interp"
 	"positdebug/internal/obs"
 	"positdebug/internal/shadow"
+	"positdebug/internal/workloads"
 )
-
-// TestDeprecatedWrappersMatchExec: the Debug* compatibility wrappers are
-// thin delegations — every observable field must match the equivalent
-// Exec call.
-func TestDeprecatedWrappersMatchExec(t *testing.T) {
-	prog, err := Compile(fig2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := shadow.DefaultConfig()
-
-	oldRes, err := prog.Debug(cfg, "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRes, err := prog.Exec("main", WithShadow(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldRes.Value != newRes.Value || oldRes.Steps != newRes.Steps {
-		t.Fatalf("Debug wrapper diverged: value %d/%d steps %d/%d",
-			oldRes.Value, newRes.Value, oldRes.Steps, newRes.Steps)
-	}
-	for k := shadow.KindCancellation; k <= shadow.KindWrongOutput; k++ {
-		if oldRes.Summary.Counts[k] != newRes.Summary.Counts[k] {
-			t.Fatalf("count[%s] = %d via wrapper, %d via Exec", k,
-				oldRes.Summary.Counts[k], newRes.Summary.Counts[k])
-		}
-	}
-
-	_, nodes, err := prog.DebugHerbgrind(256, "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hg, err := prog.Exec("main", WithHerbgrind(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nodes != hg.TraceNodes {
-		t.Fatalf("herbgrind wrapper: %d nodes, Exec: %d", nodes, hg.TraceNodes)
-	}
-
-	dbg, err := prog.NewDebugger(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := dbg.DebugWithLimits(interp.Limits{}, nil, "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Value != newRes.Value {
-		t.Fatalf("session wrapper diverged: %d vs %d", warm.Value, newRes.Value)
-	}
-}
 
 // TestExecOptionConflicts: incompatible option combinations fail loudly
 // instead of silently picking a mode.
@@ -178,5 +126,95 @@ func TestExecDOTExport(t *testing.T) {
 	}
 	if !strings.Contains(string(j), `"nodes"`) {
 		t.Fatalf("graphs JSON missing nodes:\n%s", j)
+	}
+}
+
+// TestDegradeParityColdWarm: a shadow-memory budget that trips at 256 bits
+// and fits at 128 (gemm n=8: ~1.44 MB against ~918 KB) degrades a cold
+// Exec, a first warm Debugger.Exec and a second warm run on the same
+// session identically — the same event stream (run-start, one degrade,
+// run-end "degraded"), value, steps, output and detection counts. The
+// second warm run pins that the session itself stays at the requested
+// precision.
+func TestDegradeParityColdWarm(t *testing.T) {
+	k, ok := workloads.KernelByName("gemm")
+	if !ok {
+		t.Fatal("no gemm kernel")
+	}
+	src, err := RefactorToPosit(k.Source(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := shadow.DefaultConfig()
+	cfg.MaxShadowBytes = 1_000_000
+
+	type run struct {
+		res    *Result
+		events []obs.Event
+	}
+	var runs []run
+	cold := &obs.Buffer{}
+	res, err := prog.Exec("main", WithShadow(cfg), WithTrace(cold))
+	if err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	runs = append(runs, run{res, cold.Events()})
+	dbg, err := prog.Session(WithShadow(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		warm := &obs.Buffer{}
+		res, err := dbg.Exec("main", WithTrace(warm))
+		if err != nil {
+			t.Fatalf("warm run %d: %v", i, err)
+		}
+		runs = append(runs, run{res, warm.Events()})
+	}
+
+	ref := runs[0]
+	evs := ref.events
+	if len(evs) < 3 || evs[0].Kind != obs.EvRunStart || evs[0].Precision != 256 {
+		t.Fatalf("cold stream must open with run-start at 256 bits: %+v", evs)
+	}
+	degrades := 0
+	for _, e := range evs {
+		if e.Kind == obs.EvDegrade {
+			degrades++
+			if e.Precision != 128 {
+				t.Fatalf("degrade event at %d bits, want 128", e.Precision)
+			}
+		}
+	}
+	if degrades != 1 {
+		t.Fatalf("cold stream has %d degrade events, want 1", degrades)
+	}
+	if last := evs[len(evs)-1]; last.Kind != obs.EvRunEnd || last.Outcome != "degraded" || last.Precision != 128 {
+		t.Fatalf("cold stream must close with run-end degraded at 128: %+v", last)
+	}
+	if !ref.res.Degraded || ref.res.ShadowPrecision != 128 {
+		t.Fatalf("cold result degraded=%v precision=%d, want true/128",
+			ref.res.Degraded, ref.res.ShadowPrecision)
+	}
+	for i, r := range runs[1:] {
+		name := []string{"first warm", "second warm"}[i]
+		if !reflect.DeepEqual(r.events, ref.events) {
+			t.Fatalf("%s event stream differs from cold:\n%+v\nvs\n%+v", name, r.events, ref.events)
+		}
+		if r.res.Value != ref.res.Value || r.res.Steps != ref.res.Steps || r.res.Output != ref.res.Output {
+			t.Fatalf("%s: value/steps/output %d/%d/%q, cold %d/%d/%q", name,
+				r.res.Value, r.res.Steps, r.res.Output, ref.res.Value, ref.res.Steps, ref.res.Output)
+		}
+		if !r.res.Degraded || r.res.ShadowPrecision != 128 || r.res.ShadowOracle != ref.res.ShadowOracle {
+			t.Fatalf("%s: degraded=%v precision=%d oracle=%q, want true/128/%q", name,
+				r.res.Degraded, r.res.ShadowPrecision, r.res.ShadowOracle, ref.res.ShadowOracle)
+		}
+		if !reflect.DeepEqual(r.res.Summary.Counts, ref.res.Summary.Counts) {
+			t.Fatalf("%s detection counts %v, cold %v", name, r.res.Summary.Counts, ref.res.Summary.Counts)
+		}
 	}
 }

@@ -98,13 +98,20 @@ func NewWeightedRing(capacities map[string]int, vnodes int) *Ring {
 	return r
 }
 
-// ringHash is FNV-1a 64: stable across processes and Go versions, which
-// matters because affinity is only worth anything if a restarted
-// coordinator maps the same kernels to the same workers.
+// ringHash is FNV-1a 64 followed by the splitmix64 finalizer: stable
+// across processes and Go versions, which matters because affinity is only
+// worth anything if a restarted coordinator maps the same kernels to the
+// same workers. Bare FNV-1a barely scatters inputs that differ in their
+// last bytes ("url#1", "url#2", ports one apart), so vnodes clumped and a
+// member's share of the ring hinged on its port; the finalizer mixes every
+// input bit into every output bit.
 func ringHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	x := h.Sum64()
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // Members returns the ring's distinct member URLs, sorted.

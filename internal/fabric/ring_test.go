@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -201,5 +203,89 @@ func TestRingEdgeCases(t *testing.T) {
 	}
 	if got := dup.Owner("anything"); got != "http://a:1" {
 		t.Fatalf("single-member ring Owner = %q", got)
+	}
+}
+
+// randomFleet returns n distinct loopback worker URLs on random ports —
+// the identities a local fleet gets from ephemeral port assignment.
+func randomFleet(rng *rand.Rand, n int) []string {
+	seen := map[string]bool{}
+	urls := make([]string, 0, n)
+	for len(urls) < n {
+		u := fmt.Sprintf("http://127.0.0.1:%d", 1024+rng.Intn(65535-1024))
+		if !seen[u] {
+			seen[u] = true
+			urls = append(urls, u)
+		}
+	}
+	return urls
+}
+
+// meanSD returns the mean and population standard deviation of xs.
+func meanSD(xs []float64) (mean, sd float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		sd += (x - mean) * (x - mean)
+	}
+	return mean, math.Sqrt(sd / float64(len(xs)))
+}
+
+// TestRingJoinMovementProperty: over seeded random-port fleets, a 3→4 join
+// moves about a quarter of the keyspace with a small spread. Placement must
+// not hinge on the luck of which ports the workers got: an unmixed hash
+// of "url#i" clusters the vnodes of near-identical URLs, and single joins
+// then move anywhere from almost nothing to almost everything.
+func TestRingJoinMovementProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := ringKeys(1000)
+	var fracs []float64
+	for trial := 0; trial < 200; trial++ {
+		fleet := randomFleet(rng, 4)
+		before, after := NewRing(fleet[:3], 0), NewRing(fleet, 0)
+		moved := 0
+		for _, k := range keys {
+			if before.Owner(k) != after.Owner(k) {
+				moved++
+			}
+		}
+		fracs = append(fracs, float64(moved)/float64(len(keys)))
+	}
+	mean, sd := meanSD(fracs)
+	t.Logf("3→4 join moved fraction: mean %.3f sd %.3f", mean, sd)
+	if mean < 0.2 || mean > 0.3 || sd > 0.06 {
+		t.Fatalf("3→4 join moved fraction mean %.3f sd %.3f; want mean in [0.20, 0.30] and sd ≤ 0.06 (ideal 0.25, sd ≈ 0.03)", mean, sd)
+	}
+}
+
+// TestRingShareDeviationProperty: for fleets of 2…16 random-port members,
+// members' key shares stay near fair share — both typically (RMS relative
+// deviation) and at the worst member seen.
+func TestRingShareDeviationProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	keys := ringKeys(4000)
+	var devs []float64
+	worst := 0.0
+	for n := 2; n <= 16; n++ {
+		for trial := 0; trial < 8; trial++ {
+			r := NewRing(randomFleet(rng, n), 0)
+			counts := map[string]int{}
+			for _, k := range keys {
+				counts[r.Owner(k)]++
+			}
+			fair := float64(len(keys)) / float64(n)
+			for _, u := range r.Members() {
+				dev := (float64(counts[u]) - fair) / fair
+				devs = append(devs, dev)
+				worst = math.Max(worst, math.Abs(dev))
+			}
+		}
+	}
+	_, rms := meanSD(devs) // the deviations sum to zero per fleet
+	t.Logf("per-member share deviation from fair share: rms %.3f, worst %.3f", rms, worst)
+	if rms > 0.2 || worst > 0.6 {
+		t.Fatalf("member key shares deviate from fair share by rms %.3f, worst %.3f; want ≤ 0.2 and ≤ 0.6", rms, worst)
 	}
 }

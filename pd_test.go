@@ -203,7 +203,7 @@ func main(): p32 {
 }
 
 // TestDebuggerWarmEqualsCold: repeated runs on one warm Debugger must be
-// indistinguishable from fresh Program.Debug runs — value, output, steps
+// indistinguishable from a cold Program.Exec run — value, output, steps
 // and detection counts — since campaign workers rely on warm-runtime reuse
 // being semantically invisible.
 func TestDebuggerWarmEqualsCold(t *testing.T) {
